@@ -54,7 +54,9 @@ func mustFigure1(b *testing.B) (*Graph, *Architecture) {
 }
 
 // BenchmarkTable1Figure1 regenerates the schedule table of the worked example
-// (Table 1 of the paper) and reports δM and δmax (the paper measures 39/39).
+// (Table 1 of the paper) and reports δM and δmax: 42/42 for the
+// reconstructed graph, where the paper measures 39/39 (see the Figure 1
+// substitution note in DESIGN.md).
 func BenchmarkTable1Figure1(b *testing.B) {
 	g, a := mustFigure1(b)
 	var res *core.Result

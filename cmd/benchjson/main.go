@@ -11,11 +11,15 @@
 // their full slash-separated name), the iteration count and a metric map
 // containing ns/op, B/op, allocs/op and any custom b.ReportMetric values
 // (deltaM, increase-%, merge-ms, ...). Context lines (goos, goarch, cpu,
-// pkg) are captured into the header.
+// pkg) are captured into the header, together with the GOMAXPROCS of the
+// run (the -N suffix go test appends to every name, absent for 1) and the
+// number of logical CPUs of the machine.
 //
 // With -prev <file>, the fresh results are additionally diffed against a
 // previous snapshot: every benchmark whose ns/op grew by more than
-// -regress-threshold (default 20%) is called out on stderr. The diff is
+// -regress-threshold (default 20%) is called out on stderr. Snapshots taken
+// on a different CPU model or with a different GOMAXPROCS are not
+// comparable: the diff is skipped with a loud note instead. The diff is
 // advisory — it never changes the exit code — so CI can surface creeping
 // slowdowns without flaking on noisy runners.
 package main
@@ -23,8 +27,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -41,11 +47,15 @@ type Benchmark struct {
 
 // Results is the document benchjson emits.
 type Results struct {
-	Date       string      `json:"date"`
-	GoVersion  string      `json:"go_version"`
-	GOOS       string      `json:"goos"`
-	GOARCH     string      `json:"goarch"`
-	CPU        string      `json:"cpu,omitempty"`
+	Date      string `json:"date"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	CPU       string `json:"cpu,omitempty"`
+	// GOMAXPROCS is the -N suffix of the benchmark names (1 without one);
+	// NProc is the number of logical CPUs of the machine.
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
+	NProc      int         `json:"nproc,omitempty"`
 	Note       string      `json:"note,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -56,15 +66,35 @@ func main() {
 	threshold := flag.Float64("regress-threshold", 0.20, "fractional ns/op increase over -prev that triggers a regression warning")
 	flag.Parse()
 
-	res := Results{
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Note:      *note,
+	res, err := parse(os.Stdin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+	res.Date = time.Now().UTC().Format(time.RFC3339)
+	res.GoVersion = runtime.Version()
+	res.GOOS = runtime.GOOS
+	res.GOARCH = runtime.GOARCH
+	res.NProc = runtime.NumCPU()
+	res.Note = *note
+
+	if *prev != "" {
+		diffAgainst(os.Stderr, *prev, res, *threshold)
 	}
 
-	sc := bufio.NewScanner(os.Stdin)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// parse reads `go test -bench` output: the cpu context line and every
+// benchmark line. All benchmark lines must share one GOMAXPROCS.
+func parse(r io.Reader) (Results, error) {
+	var res Results
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -83,7 +113,12 @@ func main() {
 		if err != nil {
 			continue
 		}
-		b := Benchmark{Name: trimProcSuffix(fields[0]), Runs: runs, Metrics: map[string]float64{}}
+		name, procs := splitProcSuffix(fields[0])
+		if res.GOMAXPROCS != 0 && procs != res.GOMAXPROCS {
+			return res, fmt.Errorf("%s ran with GOMAXPROCS %d, earlier benchmarks with %d; record one -cpu value per snapshot", name, procs, res.GOMAXPROCS)
+		}
+		res.GOMAXPROCS = procs
+		b := Benchmark{Name: name, Runs: runs, Metrics: map[string]float64{}}
 		// The remainder is a sequence of "<value> <unit>" pairs.
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -95,40 +130,46 @@ func main() {
 		res.Benchmarks = append(res.Benchmarks, b)
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: reading input: %v\n", err)
-		os.Exit(1)
+		return res, fmt.Errorf("reading input: %w", err)
 	}
 	if len(res.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found on stdin")
-		os.Exit(1)
+		return res, errors.New("no benchmark lines found on stdin")
 	}
+	return res, nil
+}
 
-	if *prev != "" {
-		diffAgainst(*prev, res, *threshold)
+// notComparable explains why ns/op of two snapshots cannot be compared, or
+// returns "" when they can: both must name the same CPU model and GOMAXPROCS.
+func notComparable(old, cur Results) string {
+	var why []string
+	if old.CPU != cur.CPU {
+		why = append(why, fmt.Sprintf("cpu %q vs %q", old.CPU, cur.CPU))
 	}
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+	if old.GOMAXPROCS != cur.GOMAXPROCS {
+		why = append(why, fmt.Sprintf("gomaxprocs %d vs %d", old.GOMAXPROCS, cur.GOMAXPROCS))
 	}
+	return strings.Join(why, ", ")
 }
 
 // diffAgainst compares the fresh results against a previous snapshot and
-// warns on stderr about every benchmark whose ns/op grew by more than the
+// warns on w about every benchmark whose ns/op grew by more than the
 // threshold fraction. It is advisory by design — benchmark noise on shared CI
 // runners must not fail the build — so it never touches the exit code; an
-// unreadable previous file just notes that the comparison was skipped.
-func diffAgainst(path string, cur Results, threshold float64) {
+// unreadable or not comparable previous file just notes that the comparison
+// was skipped.
+func diffAgainst(w io.Writer, path string, cur Results, threshold float64) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: skipping comparison: %v\n", err)
+		fmt.Fprintf(w, "benchjson: skipping comparison: %v\n", err)
 		return
 	}
 	var old Results
 	if err := json.Unmarshal(data, &old); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: skipping comparison: parsing %s: %v\n", path, err)
+		fmt.Fprintf(w, "benchjson: skipping comparison: parsing %s: %v\n", path, err)
+		return
+	}
+	if why := notComparable(old, cur); why != "" {
+		fmt.Fprintf(w, "benchjson: NOT COMPARABLE with %s (%s): ns/op diff skipped\n", path, why)
 		return
 	}
 	prevNs := make(map[string]float64, len(old.Benchmarks))
@@ -150,23 +191,23 @@ func diffAgainst(path string, cur Results, threshold float64) {
 		change := (ns - oldNs) / oldNs
 		if change > threshold {
 			regressions++
-			fmt.Fprintf(os.Stderr, "benchjson: WARNING: %s regressed %.1f%% (%.0f -> %.0f ns/op) vs %s\n",
+			fmt.Fprintf(w, "benchjson: WARNING: %s regressed %.1f%% (%.0f -> %.0f ns/op) vs %s\n",
 				b.Name, change*100, oldNs, ns, path)
 		}
 	}
 	if regressions == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: no ns/op regression beyond %.0f%% vs %s\n", threshold*100, path)
+		fmt.Fprintf(w, "benchjson: no ns/op regression beyond %.0f%% vs %s\n", threshold*100, path)
 	}
 }
 
-// trimProcSuffix drops the -<GOMAXPROCS> suffix go test appends to benchmark
-// names ("BenchmarkFoo-8" -> "BenchmarkFoo"), which is machine-dependent
-// noise for committed results.
-func trimProcSuffix(name string) string {
+// splitProcSuffix splits the -<GOMAXPROCS> suffix go test appends to
+// benchmark names ("BenchmarkFoo-8" -> "BenchmarkFoo", 8); a name without
+// one ran with GOMAXPROCS 1.
+func splitProcSuffix(name string) (string, int) {
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
 }

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpg"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/textio"
 )
@@ -116,15 +117,15 @@ func printTrace(out io.Writer, g *cpg.Graph, tr *sim.Trace) {
 		start, end int64
 	}
 	var lines []line
-	for k, s := range tr.Start {
+	tr.Each(func(k sched.Key, start, end int64) {
 		name := k.String()
 		if k.IsCond {
 			name = "broadcast " + g.CondName(k.Cond)
 		} else if p := g.Process(k.Proc); p != nil {
 			name = p.Name
 		}
-		lines = append(lines, line{name: name, start: s, end: tr.End[k]})
-	}
+		lines = append(lines, line{name: name, start: start, end: end})
+	})
 	sort.Slice(lines, func(i, j int) bool {
 		if lines[i].start != lines[j].start {
 			return lines[i].start < lines[j].start

@@ -246,7 +246,23 @@ type pathInfo struct {
 	path    *cpg.Path
 	sub     *cpg.Subgraph
 	optimal *sched.PathSchedule
-	order   map[sched.Key]int64
+	// order is the fixed order of the optimal schedule (start times by
+	// ProcID), the priority of every readjustment of this path.
+	order []int64
+}
+
+// newPathInfo builds the merge data of path i from its optimal schedule.
+func newPathInfo(i int, p *cpg.Path, sub *cpg.Subgraph, ps *sched.PathSchedule) *pathInfo {
+	order := make([]int64, ps.Index().Procs)
+	for q := range order {
+		order[q] = listsched.NoOrder
+	}
+	for _, e := range ps.Entries() {
+		if !e.Key.IsCond {
+			order[e.Key.Proc] = e.Start
+		}
+	}
+	return &pathInfo{index: i, path: p, sub: sub, optimal: ps, order: order}
 }
 
 type merger struct {
@@ -260,6 +276,12 @@ type merger struct {
 	steps int
 	// scratch is reused by every reschedule of the (sequential) merge.
 	scratch listsched.Scratch
+	// locks is the lock set of the path being walked: the locks derived at
+	// the last back-step plus every activation time fixed since. The walk
+	// is a depth-first recursion in which a frame never reads its lock set
+	// again once the frame below it returned (it only back-steps, deriving
+	// a fresh set), so one buffer serves the whole merge.
+	locks listsched.Locks
 }
 
 // Schedule generates the schedule table for the graph on the given
@@ -325,7 +347,7 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	if err != nil {
 		return nil, err
 	}
-	m := &merger{ctx: ctx, g: g, a: a, opt: opt, tbl: table.New()}
+	m := &merger{ctx: ctx, g: g, a: a, opt: opt, tbl: table.New(sched.IndexOf(g))}
 	var deltaM int64
 	var reuse []warmReuse
 	if warm != nil {
@@ -361,11 +383,7 @@ func schedulePhased(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt
 	}
 	//lint:allow nowallclock phase telemetry reported via Stats; never part of the table output or any hash
 	tMerge := time.Now()
-	start := m.selectPath(cond.True())
-	if start == nil {
-		return nil, errors.New("core: no alternative path found")
-	}
-	if err := m.explore(start, start.optimal.Clone(), map[sched.Key]listsched.Lock{}, cond.True()); err != nil {
+	if err := m.merge(); err != nil {
 		return nil, err
 	}
 	m.stats.MergeTime = time.Since(tMerge)
@@ -449,12 +467,7 @@ func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt 
 			// Warm start: the previous run's schedule for this path is
 			// byte-identical to what a fresh run would produce, so skip the
 			// (dominant) per-path strategy run and the subgraph extraction.
-			ps := reuse[i].optimal
-			order := make(map[sched.Key]int64, len(ps.Entries()))
-			for _, e := range ps.Entries() {
-				order[e.Key] = e.Start
-			}
-			infos[i] = &pathInfo{index: i, path: p, sub: reuse[i].sub, optimal: ps, order: order}
+			infos[i] = newPathInfo(i, p, reuse[i].sub, reuse[i].optimal)
 			return
 		}
 		sub := g.Subgraph(p)
@@ -470,11 +483,7 @@ func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt 
 			failed.Store(true)
 			return
 		}
-		order := make(map[sched.Key]int64, len(ps.Entries()))
-		for _, e := range ps.Entries() {
-			order[e.Key] = e.Start
-		}
-		infos[i] = &pathInfo{index: i, path: p, sub: sub, optimal: ps, order: order}
+		infos[i] = newPathInfo(i, p, sub, ps)
 	})
 
 	// Report the lowest-indexed recorded error (later paths may have been
@@ -485,6 +494,17 @@ func schedulePaths(ctx context.Context, g *cpg.Graph, a *arch.Architecture, opt 
 		}
 	}
 	return infos, nil
+}
+
+// merge walks the decision tree from its root along the selected path and
+// fills the table.
+func (m *merger) merge() error {
+	start := m.selectPath(cond.True())
+	if start == nil {
+		return errors.New("core: no alternative path found")
+	}
+	m.locks.Reset(sched.IndexOf(m.g))
+	return m.explore(start, start.optimal, &m.locks, cond.True())
 }
 
 // selectPath picks, among the paths reachable from the decision-tree node
@@ -524,9 +544,11 @@ func (m *merger) selectPath(decided cond.Cube) *pathInfo {
 // deriveLocks applies rule 3 of section 5.1: every activity of the new path
 // whose activation time is already fixed in a column that mentions only
 // conditions decided before the branching node (and is consistent with their
-// values) keeps that activation time.
-func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) map[sched.Key]listsched.Lock {
-	locks := map[sched.Key]listsched.Lock{}
+// values) keeps that activation time. The locks are collected in the
+// merger's lock buffer, which is returned.
+func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) *listsched.Locks {
+	locks := &m.locks
+	locks.Reset(sched.IndexOf(m.g))
 	for _, key := range m.tbl.KeysView() {
 		if key.IsCond {
 			def := m.g.Condition(key.Cond)
@@ -548,7 +570,7 @@ func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) map[sched.Key]list
 					lock.Bus = bb[0]
 				}
 			}
-			locks[key] = lock
+			locks.Set(key, lock)
 			m.stats.Locks++
 			break
 		}
@@ -560,7 +582,7 @@ func (m *merger) deriveLocks(pi *pathInfo, decided cond.Cube) map[sched.Key]list
 // at their fixed activation times, the other activities are rescheduled to
 // their earliest allowed moment keeping the relative priorities of the
 // original (optimal) schedule.
-func (m *merger) reschedule(pi *pathInfo, locks map[sched.Key]listsched.Lock) (*sched.PathSchedule, error) {
+func (m *merger) reschedule(pi *pathInfo, locks *listsched.Locks) (*sched.PathSchedule, error) {
 	ps, diag, err := m.scratch.Schedule(pi.sub, m.a, listsched.Options{
 		Priority: listsched.PriorityFixedOrder,
 		Order:    pi.order,
@@ -586,7 +608,7 @@ func lockFor(e sched.Entry) listsched.Lock {
 // with the condition values in decided already fixed. fixed accumulates the
 // activation times of cur that are (or become) locked, so that conflict
 // readjustments keep everything already placed.
-func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed map[sched.Key]listsched.Lock, decided cond.Cube) error {
+func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed *listsched.Locks, decided cond.Cube) error {
 	for {
 		m.steps++
 		if m.steps > 10000*(len(m.paths)+1) {
@@ -651,7 +673,7 @@ func (m *merger) explore(pi *pathInfo, cur *sched.PathSchedule, fixed map[sched.
 // that start before limit. It returns changed == true when a conflict forced
 // a readjustment of the current schedule (in which case *curp points to the
 // new schedule and the caller restarts the segment).
-func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed map[sched.Key]listsched.Lock, limit int64) (bool, error) {
+func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed *listsched.Locks, limit int64) (bool, error) {
 	cur := *curp
 	m.stats.SegmentsPlaced++
 	for _, e := range cur.Entries() {
@@ -672,7 +694,7 @@ func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed map
 		// Skip when an applicable entry with the same activation time is
 		// already in the table (the previously handled path fixed it).
 		if covered(m.tbl.RowView(key), pi.path.Label, e.Start) {
-			fixed[key] = lockFor(e)
+			fixed.Set(key, lockFor(e))
 			continue
 		}
 		conflicts := m.tbl.Conflicts(key, expr, e.Start)
@@ -680,7 +702,7 @@ func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed map
 			if err := m.tbl.Place(key, expr, e.Start); err != nil {
 				return false, err
 			}
-			fixed[key] = lockFor(e)
+			fixed.Set(key, lockFor(e))
 			continue
 		}
 		// Requirement-2 conflict: resolve it.
@@ -696,13 +718,13 @@ func (m *merger) placeSegment(pi *pathInfo, curp **sched.PathSchedule, fixed map
 				// earlier time to keep the table well-formed.
 				continue
 			}
-			fixed[key] = lockFor(e)
+			fixed.Set(key, lockFor(e))
 			continue
 		}
 		m.stats.ConflictsResolved++
 		lock := lockFor(e)
 		lock.Start = newStart
-		fixed[key] = lock
+		fixed.Set(key, lock)
 		ncur, err := m.reschedule(pi, fixed)
 		if err != nil {
 			return false, err

@@ -80,6 +80,29 @@ func TestFigure1Structure(t *testing.T) {
 	}
 }
 
+// TestFigure1DelaysMatchSubstitutionNote pins the worked example to the
+// values explained in the "Figure 1 substitution note" of DESIGN.md: the
+// reconstructed same-processor edges give δM = δmax = 42 where the paper
+// reports 39, and the per-path delays listed there.
+func TestFigure1DelaysMatchSubstitutionNote(t *testing.T) {
+	r, err := RunFigure1(core.Options{})
+	if err != nil {
+		t.Fatalf("RunFigure1: %v", err)
+	}
+	const note = "see the Figure 1 substitution note in DESIGN.md"
+	if r.Result.DeltaM != 42 || r.Result.DeltaMax != 42 {
+		t.Fatalf("δM = %d, δmax = %d; want 42/42 (%s)", r.Result.DeltaM, r.Result.DeltaMax, note)
+	}
+	want := map[string]int64{
+		"C&D&K": 39, "!C&D&K": 39, "C&!D": 41, "!C&!D": 41, "C&D&!K": 42, "!C&D&!K": 42,
+	}
+	for label, d := range want {
+		if got, ok := r.PathDelays[label]; !ok || got != d {
+			t.Errorf("path %s delay = %d (present %v), want %d (%s)", label, got, ok, d, note)
+		}
+	}
+}
+
 func TestRunFigure1(t *testing.T) {
 	r, err := RunFigure1(core.Options{})
 	if err != nil {

@@ -28,8 +28,9 @@ import (
 // is true), and the guards XP3 = XP17 = true, XP5 = C, XP14 = D∧K. The edges
 // between processes mapped to the same processor are not listed in the paper
 // and have been reconstructed so that the published structure (disjunction
-// and conjunction processes, six alternative paths) is preserved; see
-// DESIGN.md for the substitution note.
+// and conjunction processes, six alternative paths) is preserved; see the
+// Figure 1 substitution note in DESIGN.md for the edges and for why δM =
+// δmax = 42 here against the paper's 39.
 func Figure1() (*cpg.Graph, *arch.Architecture, error) {
 	a := arch.New()
 	pe1 := a.AddProcessor("pe1", 1)

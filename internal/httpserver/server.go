@@ -71,6 +71,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/textio"
@@ -735,15 +736,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		for _, v := range tr.Violations {
 			td.Violations = append(td.Violations, v.String())
 		}
-		for k, start := range tr.Start {
+		tr.Each(func(k sched.Key, start, end int64) {
 			name := k.String()
 			if k.IsCond {
 				name = "broadcast " + g.CondName(k.Cond)
 			} else if p := g.Process(k.Proc); p != nil {
 				name = p.Name
 			}
-			td.Activations = append(td.Activations, activationDoc{Name: name, Start: start, End: tr.End[k]})
-		}
+			td.Activations = append(td.Activations, activationDoc{Name: name, Start: start, End: end})
+		})
 		sortActivations(td.Activations)
 		out.Traces = append(out.Traces, td)
 	}

@@ -11,7 +11,7 @@ import (
 
 // TestScheduleAllocsRegression pins the per-run allocation count of the list
 // scheduler on the worked example of the paper. The scratch-reusing form only
-// allocates the resulting PathSchedule (plus the per-entry map buckets); the
+// allocates the resulting PathSchedule and a few small slices; the
 // convenience form adds the throwaway scratch buffers. If either bound
 // regresses, an allocation crept back into the scheduling hot path.
 func TestScheduleAllocsRegression(t *testing.T) {
@@ -34,10 +34,11 @@ func TestScheduleAllocsRegression(t *testing.T) {
 			t.Fatalf("Schedule: %v", err)
 		}
 	})
-	// One PathSchedule (struct + two maps + map growth for ~40 entries) and
-	// the broadcast CondTiming records. The bitset cube representation keeps
-	// guard evaluation allocation-free, roughly halving the old bound of 30.
-	const maxReused = 16
+	// One PathSchedule (struct, start-sorted entry slice, slot positions
+	// and condition timings, all sized upfront on the dense activity index),
+	// the diagnostics and the architecture's element lists. The bitset cube
+	// representation keeps guard evaluation allocation-free.
+	const maxReused = 9
 	if reused > maxReused {
 		t.Errorf("Scratch.Schedule allocates %.0f times per run, want <= %d", reused, maxReused)
 	}
@@ -48,7 +49,7 @@ func TestScheduleAllocsRegression(t *testing.T) {
 		}
 	})
 	// Adds the throwaway scratch slices.
-	const maxFresh = 45
+	const maxFresh = 40
 	if fresh > maxFresh {
 		t.Errorf("Schedule allocates %.0f times per run, want <= %d", fresh, maxFresh)
 	}

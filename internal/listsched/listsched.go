@@ -83,16 +83,41 @@ type Lock struct {
 	Bus   arch.PEID
 }
 
+// Locks is a dense set of locked activation times over the activity index
+// of a graph (see sched.Index).
+type Locks = sched.Slots[Lock]
+
+// NewLocks returns an empty lock set over ix.
+func NewLocks(ix sched.Index) *Locks {
+	l := &Locks{}
+	l.Reset(ix)
+	return l
+}
+
+// NoOrder marks a process without a fixed-order priority value in
+// Options.Order.
+const NoOrder int64 = math.MinInt64
+
 // Options configures one scheduling run.
 type Options struct {
 	Priority Priority
-	// Order supplies the fixed-order priority values (smaller first). It is
-	// ignored by PriorityCriticalPath.
-	Order map[sched.Key]int64
+	// Order supplies the fixed-order priority values by ProcID (smaller
+	// first). Processes it does not cover (beyond its length, or NoOrder)
+	// fall back to the critical path. It is ignored by the other
+	// priorities.
+	Order []int64
 	// Locked fixes activation times of activities; locked activities are
 	// placed exactly at their lock time and other activities are scheduled
-	// around them.
-	Locked map[sched.Key]Lock
+	// around them. Nil locks nothing.
+	Locked *Locks
+}
+
+// order returns the fixed-order priority value of p, if any.
+func (o *Options) order(p cpg.ProcID) (int64, bool) {
+	if int(p) >= len(o.Order) || o.Order[p] == NoOrder {
+		return 0, false
+	}
+	return o.Order[p], true
 }
 
 // LockViolation records a locked activation time that is not feasible with
@@ -249,7 +274,7 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 	g := sub.G
 	diag := &Diagnostics{}
 	active := sub.ActiveProcs()
-	ps := sched.NewPathScheduleSized(sub.Label, len(active))
+	ps := sched.NewPathScheduleSized(sub.Label, sched.IndexOf(g), len(active)+len(sub.DecidedConds()))
 	if len(active) == 0 {
 		return ps, diag, nil
 	}
@@ -283,7 +308,7 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 	for _, p := range active {
 		switch opt.Priority {
 		case PriorityFixedOrder:
-			if v, ok := opt.Order[sched.ProcKey(p)]; ok {
+			if v, ok := opt.order(p); ok {
 				sc.prio[p] = float64(v)
 			} else {
 				// Fall back to critical path (negated so longer paths come
@@ -297,26 +322,27 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 		}
 	}
 
-	// Per-sequential-resource timelines; locked activities reserve upfront.
+	// Per-sequential-resource timelines; locked activities reserve upfront,
+	// in index order.
 	timeline := func(pe arch.PEID) *sched.Timeline { return &sc.timelines[pe] }
-	for key, lock := range opt.Locked {
+	opt.Locked.Each(func(key sched.Key, lock Lock) {
 		if key.IsCond {
 			if a.Valid(lock.Bus) && a.IsSequential(lock.Bus) {
 				timeline(lock.Bus).Reserve(lock.Start, a.CondTime)
 			}
-			continue
+			return
 		}
 		if !sub.Active(key.Proc) {
-			continue
+			return
 		}
 		p := g.Process(key.Proc)
 		if p == nil {
-			continue
+			return
 		}
 		if a.IsSequential(p.PE) {
 			timeline(p.PE).Reserve(lock.Start, exec(p.ID))
 		}
-	}
+	})
 
 	broadcastBuses := a.BroadcastBuses()
 	needBroadcast := len(a.ComputePEs()) > 1 && len(broadcastBuses) > 0
@@ -337,7 +363,7 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 	scheduleBroadcast := func(def *cpg.CondDef, decEnd int64, deciderPE arch.PEID) {
 		value, _ := sub.Label.Value(def.ID)
 		key := sched.CondKey(def.ID)
-		if lock, ok := opt.Locked[key]; ok {
+		if lock, ok := opt.Locked.Get(key); ok {
 			bus := lock.Bus
 			end := lock.Start + a.CondTime
 			if !a.Valid(bus) {
@@ -418,7 +444,7 @@ func (sc *Scratch) Schedule(sub *cpg.Subgraph, a *arch.Architecture, opt Options
 		}
 
 		var start int64
-		if lock, locked := opt.Locked[sched.ProcKey(p)]; locked {
+		if lock, locked := opt.Locked.Get(sched.ProcKey(p)); locked {
 			start = lock.Start
 			if est > start {
 				diag.LockViolations = append(diag.LockViolations, LockViolation{Key: sched.ProcKey(p), Locked: start, Earliest: est})

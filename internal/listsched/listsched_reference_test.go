@@ -70,7 +70,8 @@ func (t *refTimeline) Overlaps() bool {
 func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Options) (*sched.PathSchedule, *listsched.Diagnostics, error) {
 	g := sub.G
 	diag := &listsched.Diagnostics{}
-	ps := sched.NewPathSchedule(sub.Label)
+	ps := sched.NewPathSchedule(sub.Label, sched.IndexOf(g))
+	order, locked := referenceInputs(opt)
 
 	active := sub.ActiveProcs()
 	if len(active) == 0 {
@@ -85,7 +86,7 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 	prio := func(p cpg.ProcID) float64 {
 		switch opt.Priority {
 		case listsched.PriorityFixedOrder:
-			if v, ok := opt.Order[sched.ProcKey(p)]; ok {
+			if v, ok := order[sched.ProcKey(p)]; ok {
 				return float64(v)
 			}
 			return math.MaxFloat64/2 - float64(cp[p])
@@ -103,7 +104,7 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 		}
 		return tl
 	}
-	for key, lock := range opt.Locked {
+	for key, lock := range locked {
 		if key.IsCond {
 			if a.Valid(lock.Bus) && a.IsSequential(lock.Bus) {
 				timeline(lock.Bus).Reserve(lock.Start, a.CondTime)
@@ -142,7 +143,7 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 	scheduleBroadcast := func(def *cpg.CondDef, decEnd int64, deciderPE arch.PEID) {
 		value, _ := sub.Label.Value(def.ID)
 		key := sched.CondKey(def.ID)
-		if lock, ok := opt.Locked[key]; ok {
+		if lock, ok := locked[key]; ok {
 			bus := lock.Bus
 			end := lock.Start + a.CondTime
 			if !a.Valid(bus) {
@@ -234,7 +235,7 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 		}
 
 		var start int64
-		if lock, locked := opt.Locked[sched.ProcKey(p)]; locked {
+		if lock, isLocked := locked[sched.ProcKey(p)]; isLocked {
 			start = lock.Start
 			if est > start {
 				diag.LockViolations = append(diag.LockViolations, listsched.LockViolation{Key: sched.ProcKey(p), Locked: start, Earliest: est})
@@ -279,6 +280,20 @@ func referenceSchedule(sub *cpg.Subgraph, a *arch.Architecture, opt listsched.Op
 	}
 	sort.Slice(diag.ResourceOverlaps, func(i, j int) bool { return diag.ResourceOverlaps[i] < diag.ResourceOverlaps[j] })
 	return ps, diag, nil
+}
+
+// referenceInputs turns the dense fixed order and lock set of opt back into
+// the key-addressed maps the seed implementation read.
+func referenceInputs(opt listsched.Options) (map[sched.Key]int64, map[sched.Key]listsched.Lock) {
+	order := map[sched.Key]int64{}
+	for p, v := range opt.Order {
+		if v != listsched.NoOrder {
+			order[sched.ProcKey(cpg.ProcID(p))] = v
+		}
+	}
+	locked := map[sched.Key]listsched.Lock{}
+	opt.Locked.Each(func(k sched.Key, l listsched.Lock) { locked[k] = l })
+	return order, locked
 }
 
 var errReferenceStuck = &referenceError{}
@@ -343,16 +358,21 @@ func compareGraph(t *testing.T, name string, g *cpg.Graph, a *arch.Architecture)
 		}
 		// Fixed-order rescheduling with every third activity locked at its
 		// optimal time — the shape the merging algorithm produces.
-		order := map[sched.Key]int64{}
-		locked := map[sched.Key]listsched.Lock{}
+		order := make([]int64, g.NumProcs())
+		for p := range order {
+			order[p] = listsched.NoOrder
+		}
+		locked := listsched.NewLocks(sched.IndexOf(g))
 		for j, e := range optimal.Entries() {
-			order[e.Key] = e.Start
+			if !e.Key.IsCond {
+				order[e.Key.Proc] = e.Start
+			}
 			if j%3 == 0 {
 				l := listsched.Lock{Start: e.Start, Bus: arch.NoPE}
 				if e.Key.IsCond {
 					l.Bus = e.PE
 				}
-				locked[e.Key] = l
+				locked.Set(e.Key, l)
 			}
 		}
 		compareRun(t, name+"/locked", sub, a, sc, listsched.Options{

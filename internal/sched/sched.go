@@ -1,12 +1,14 @@
 // Package sched defines the data structures shared by the list scheduler,
 // the schedule table and the merging algorithm: schedule keys (ordinary or
-// communication processes, and condition broadcasts), per-path schedules with
-// condition-availability information, and resource timelines.
+// communication processes, and condition broadcasts) with the dense activity
+// index that addresses them, per-path schedules with condition-availability
+// information, and resource timelines.
 package sched
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -88,58 +90,114 @@ type CondTiming struct {
 
 // PathSchedule is the (optimal or adjusted) schedule of one alternative path:
 // start and end times for every active process plus the condition broadcasts.
+//
+// Entries are kept sorted by (start time, index slot) as they are recorded,
+// with their positions in a slice by slot of the graph's Index, so lookups
+// are plain indexing and Entries never sorts. Condition timings live in a
+// slice by condition identifier with a presence mask.
 type PathSchedule struct {
 	// Label is the path label Lk.
 	Label cond.Cube
 	// Delay is the activation time of the sink process (δk).
 	Delay int64
 
-	entries map[Key]Entry
-	conds   map[cond.Cond]CondTiming
+	ix      Index
+	entries []Entry // sorted by (Start, slot)
+	pos     []int32 // by slot: position in entries plus one, 0 when absent
+	// shared is set once Entries handed the slice out; the next change
+	// copies it first, so returned slices never change.
+	shared bool
 
-	// sorted and sortedConds cache the results of Entries and Conds; they
-	// are invalidated by Set/SetCond and shared with callers.
-	sorted      []Entry
+	conds    []CondTiming // by condition identifier
+	condMask uint64       // conditions with a record in conds
+
+	// sortedConds caches the result of Conds; it is invalidated by SetCond
+	// and shared with callers.
 	sortedConds []CondTiming
 }
 
-// NewPathSchedule returns an empty schedule for the given path label.
-func NewPathSchedule(label cond.Cube) *PathSchedule {
-	return NewPathScheduleSized(label, 0)
+// NewPathSchedule returns an empty schedule for the given path label over the
+// activities of index ix.
+func NewPathSchedule(label cond.Cube, ix Index) *PathSchedule {
+	return NewPathScheduleSized(label, ix, 0)
 }
 
-// NewPathScheduleSized returns an empty schedule with capacity for about n
-// entries, avoiding map growth when the caller knows the activity count.
-func NewPathScheduleSized(label cond.Cube, n int) *PathSchedule {
+// NewPathScheduleSized is NewPathSchedule with room for about n entries.
+func NewPathScheduleSized(label cond.Cube, ix Index, n int) *PathSchedule {
 	return &PathSchedule{
 		Label:   label,
-		entries: make(map[Key]Entry, n),
-		conds:   map[cond.Cond]CondTiming{},
+		ix:      ix,
+		entries: make([]Entry, 0, n),
+		pos:     make([]int32, ix.Len()),
+		conds:   make([]CondTiming, ix.Conds),
 	}
 }
 
-// Set records (or replaces) the entry for a key.
+// Index returns the activity index the schedule is laid out on.
+func (ps *PathSchedule) Index() Index { return ps.ix }
+
+// Set records (or replaces) the entry for a key. It panics when the key lies
+// outside the schedule's index.
 func (ps *PathSchedule) Set(e Entry) {
-	ps.entries[e.Key] = e
-	ps.sorted = nil
+	slot := ps.ix.Of(e.Key)
+	if slot < 0 {
+		panic("sched: " + e.Key.String() + " outside the activity index")
+	}
+	if ps.shared {
+		ps.entries = slices.Clone(ps.entries)
+		ps.shared = false
+	}
+	if p := ps.pos[slot]; p != 0 {
+		ps.entries = slices.Delete(ps.entries, int(p-1), int(p))
+		ps.renumber(int(p - 1))
+	}
+	// Entries mostly arrive in start order, so insert scanning from the end.
+	j := len(ps.entries)
+	for j > 0 {
+		o := &ps.entries[j-1]
+		if o.Start < e.Start || (o.Start == e.Start && ps.ix.Of(o.Key) < slot) {
+			break
+		}
+		j--
+	}
+	ps.entries = slices.Insert(ps.entries, j, e)
+	ps.renumber(j)
 }
 
-// SetCond records the availability of a condition value.
+// renumber refreshes the positions of the entries from index i on.
+func (ps *PathSchedule) renumber(i int) {
+	for ; i < len(ps.entries); i++ {
+		ps.pos[ps.ix.Of(ps.entries[i].Key)] = int32(i + 1)
+	}
+}
+
+// SetCond records the availability of a condition value. It panics when the
+// condition lies outside the schedule's index.
 func (ps *PathSchedule) SetCond(t CondTiming) {
 	ps.conds[t.Cond] = t
+	ps.condMask |= 1 << uint(t.Cond)
 	ps.sortedConds = nil
 }
 
 // Entry returns the entry for the key.
 func (ps *PathSchedule) Entry(k Key) (Entry, bool) {
-	e, ok := ps.entries[k]
-	return e, ok
+	slot := ps.ix.Of(k)
+	if slot < 0 || ps.pos[slot] == 0 {
+		return Entry{}, false
+	}
+	return ps.entries[ps.pos[slot]-1], true
 }
 
 // Cond returns the availability record of a condition.
 func (ps *PathSchedule) Cond(c cond.Cond) (CondTiming, bool) {
-	t, ok := ps.conds[c]
-	return t, ok
+	if !ps.hasCond(c) {
+		return CondTiming{}, false
+	}
+	return ps.conds[c], true
+}
+
+func (ps *PathSchedule) hasCond(c cond.Cond) bool {
+	return c >= 0 && c < cond.MaxConds && ps.condMask&(1<<uint(c)) != 0
 }
 
 // Conds returns the availability records sorted by decision time (ties by
@@ -147,47 +205,27 @@ func (ps *PathSchedule) Cond(c cond.Cond) (CondTiming, bool) {
 // merging algorithm branches along this schedule. The returned slice is
 // cached and shared; callers must not modify it.
 func (ps *PathSchedule) Conds() []CondTiming {
-	if ps.sortedConds != nil || len(ps.conds) == 0 {
+	if ps.sortedConds != nil || ps.condMask == 0 {
 		return ps.sortedConds
 	}
-	out := make([]CondTiming, 0, len(ps.conds))
-	for _, t := range ps.conds {
-		out = append(out, t)
+	out := make([]CondTiming, 0, bits.OnesCount64(ps.condMask))
+	for m := ps.condMask; m != 0; m &= m - 1 {
+		out = append(out, ps.conds[bits.TrailingZeros64(m)])
 	}
-	slices.SortFunc(out, func(a, b CondTiming) int {
-		if a.DecidedAt != b.DecidedAt {
-			return cmp.Compare(a.DecidedAt, b.DecidedAt)
-		}
-		return cmp.Compare(a.Cond, b.Cond)
-	})
+	// Collected by identifier; the stable sort keeps that as the tie order.
+	slices.SortStableFunc(out, func(a, b CondTiming) int { return cmp.Compare(a.DecidedAt, b.DecidedAt) })
 	ps.sortedConds = out
 	return out
 }
 
-// Entries returns all entries sorted by start time (ties by key). The
-// returned slice is cached and shared; callers must not modify it.
+// Entries returns all entries sorted by start time (ties by index order, i.e.
+// by Key.Less). The returned slice is shared; callers must not modify it,
+// and later changes to the schedule leave it as it is.
 func (ps *PathSchedule) Entries() []Entry {
-	if ps.sorted != nil || len(ps.entries) == 0 {
-		return ps.sorted
+	if !ps.shared {
+		ps.shared = true
 	}
-	out := make([]Entry, 0, len(ps.entries))
-	for _, e := range ps.entries {
-		out = append(out, e)
-	}
-	slices.SortFunc(out, func(a, b Entry) int {
-		if a.Start != b.Start {
-			return cmp.Compare(a.Start, b.Start)
-		}
-		if a.Key.Less(b.Key) {
-			return -1
-		}
-		if b.Key.Less(a.Key) {
-			return 1
-		}
-		return 0
-	})
-	ps.sorted = out
-	return out
+	return ps.entries
 }
 
 // Len returns the number of entries.
@@ -199,24 +237,11 @@ func (ps *PathSchedule) Len() int { return len(ps.entries) }
 // process terminates, and on every other element (including buses) from the
 // end of its broadcast.
 func (ps *PathSchedule) KnownAt(pe arch.PEID, t int64) cond.Cube {
-	if len(ps.conds) == 0 {
-		return cond.True()
-	}
-	// The cube is a canonical bitset, so the map's iteration order cannot
-	// reach the output, and each condition appears at most once, so MustWith
-	// cannot contradict.
+	// Each condition appears at most once, so MustWith cannot contradict.
 	c := cond.True()
-	for _, ct := range ps.conds {
-		avail := ct.BroadcastEnd
-		if ct.DeciderPE == pe && ct.DeciderPE != arch.NoPE {
-			avail = ct.DecidedAt
-		}
-		if ct.Bus == arch.NoPE {
-			// No broadcast needed (single computation element): the value
-			// is known everywhere from the decision moment.
-			avail = ct.DecidedAt
-		}
-		if t >= avail {
+	for m := ps.condMask; m != 0; m &= m - 1 {
+		ct := &ps.conds[bits.TrailingZeros64(m)]
+		if t >= ct.knownOn(pe) {
 			c = c.MustWith(ct.Cond, ct.Value)
 		}
 	}
@@ -226,30 +251,33 @@ func (ps *PathSchedule) KnownAt(pe arch.PEID, t int64) cond.Cube {
 // KnownTime returns the moment condition c becomes known on processing
 // element pe, or false when the condition is not decided on this path.
 func (ps *PathSchedule) KnownTime(c cond.Cond, pe arch.PEID) (int64, bool) {
-	ct, ok := ps.conds[c]
-	if !ok {
+	if !ps.hasCond(c) {
 		return 0, false
 	}
-	if ct.DeciderPE == pe && ct.DeciderPE != arch.NoPE {
-		return ct.DecidedAt, true
+	return ps.conds[c].knownOn(pe), true
+}
+
+// knownOn returns the moment the condition value is known on pe: at the
+// decision on the deciding element, and everywhere when no broadcast is
+// needed (single computation element); at the end of the broadcast otherwise.
+func (ct *CondTiming) knownOn(pe arch.PEID) int64 {
+	if (ct.DeciderPE == pe && ct.DeciderPE != arch.NoPE) || ct.Bus == arch.NoPE {
+		return ct.DecidedAt
 	}
-	if ct.Bus == arch.NoPE {
-		return ct.DecidedAt, true
-	}
-	return ct.BroadcastEnd, true
+	return ct.BroadcastEnd
 }
 
 // Clone returns a deep copy of the schedule.
 func (ps *PathSchedule) Clone() *PathSchedule {
-	n := NewPathSchedule(ps.Label)
-	n.Delay = ps.Delay
-	for k, v := range ps.entries {
-		n.entries[k] = v
+	return &PathSchedule{
+		Label:    ps.Label,
+		Delay:    ps.Delay,
+		ix:       ps.ix,
+		entries:  slices.Clone(ps.entries),
+		pos:      slices.Clone(ps.pos),
+		conds:    slices.Clone(ps.conds),
+		condMask: ps.condMask,
 	}
-	for k, v := range ps.conds {
-		n.conds[k] = v
-	}
-	return n
 }
 
 // Gantt renders the schedule as a per-processing-element time chart, mainly

@@ -46,7 +46,7 @@ func TestEntryDuration(t *testing.T) {
 }
 
 func TestPathScheduleEntriesSorted(t *testing.T) {
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), Index{Procs: 4, Conds: 1})
 	ps.Set(Entry{Key: ProcKey(2), Start: 10, End: 12, PE: 0})
 	ps.Set(Entry{Key: ProcKey(1), Start: 0, End: 3, PE: 0})
 	ps.Set(Entry{Key: CondKey(0), Start: 3, End: 4, PE: 1})
@@ -76,7 +76,7 @@ func TestPathScheduleEntriesSorted(t *testing.T) {
 }
 
 func TestCondTimingOrderAndLookup(t *testing.T) {
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), Index{Conds: 3})
 	ps.SetCond(CondTiming{Cond: 1, Value: false, DecidedAt: 9, DeciderPE: 0, BroadcastStart: 9, BroadcastEnd: 10, Bus: 3})
 	ps.SetCond(CondTiming{Cond: 0, Value: true, DecidedAt: 6, DeciderPE: 1, BroadcastStart: 6, BroadcastEnd: 7, Bus: 3})
 	ps.SetCond(CondTiming{Cond: 2, Value: true, DecidedAt: 9, DeciderPE: 1, BroadcastStart: 10, BroadcastEnd: 11, Bus: 3})
@@ -93,7 +93,7 @@ func TestCondTimingOrderAndLookup(t *testing.T) {
 }
 
 func TestKnownAt(t *testing.T) {
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), Index{Conds: 1})
 	// Condition 0 decided by PE 1 at t=6, broadcast on bus 3 during [6,7).
 	ps.SetCond(CondTiming{Cond: 0, Value: true, DecidedAt: 6, DeciderPE: 1, BroadcastStart: 6, BroadcastEnd: 7, Bus: 3})
 	// On the decider it is known from t=6.
@@ -128,7 +128,7 @@ func TestKnownAt(t *testing.T) {
 func TestKnownAtWithoutBroadcast(t *testing.T) {
 	// A single-processor system needs no broadcast: Bus == NoPE means the
 	// value is globally known from the decision moment.
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), Index{Conds: 1})
 	ps.SetCond(CondTiming{Cond: 0, Value: false, DecidedAt: 4, DeciderPE: 0, Bus: arch.NoPE})
 	if k := ps.KnownAt(0, 4); !k.Has(0) {
 		t.Fatalf("value must be known on the decider")
@@ -142,7 +142,7 @@ func TestKnownAtWithoutBroadcast(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	ps := NewPathSchedule(cond.MustCube(cond.Lit{Cond: 0, Val: true}))
+	ps := NewPathSchedule(cond.MustCube(cond.Lit{Cond: 0, Val: true}), Index{Procs: 2, Conds: 1})
 	ps.Set(Entry{Key: ProcKey(1), Start: 0, End: 2, PE: 0})
 	ps.SetCond(CondTiming{Cond: 0, Value: true, DecidedAt: 2, DeciderPE: 0, BroadcastStart: 2, BroadcastEnd: 3, Bus: 1})
 	ps.Delay = 17
@@ -163,7 +163,7 @@ func TestGanttRendering(t *testing.T) {
 	bus := a.AddBus("bus", true)
 	g := cpg.New("g")
 	p := g.AddProcess("P1", 2, pe1)
-	ps := NewPathSchedule(cond.True())
+	ps := NewPathSchedule(cond.True(), Index{Procs: 1, Conds: 1})
 	ps.Set(Entry{Key: ProcKey(p), Start: 0, End: 2, PE: pe1})
 	ps.Set(Entry{Key: CondKey(0), Start: 2, End: 3, PE: bus})
 	ps.Delay = 3
@@ -301,5 +301,128 @@ func TestPropertyReserveKeepsSortedWhenDisjoint(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestIndexSlotOrderIsKeyOrder(t *testing.T) {
+	ix := Index{Procs: 3, Conds: 2}
+	if ix.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", ix.Len())
+	}
+	for i := 0; i < ix.Len(); i++ {
+		k := ix.Key(i)
+		if ix.Of(k) != i {
+			t.Fatalf("Of(Key(%d)) = %d", i, ix.Of(k))
+		}
+		if i > 0 && !ix.Key(i-1).Less(k) {
+			t.Fatalf("slot order %v, %v disagrees with Key.Less", ix.Key(i-1), k)
+		}
+	}
+	for _, k := range []Key{ProcKey(3), ProcKey(-1), CondKey(2), CondKey(cond.None)} {
+		if ix.Of(k) != -1 {
+			t.Fatalf("Of(%v) = %d, want -1 outside the index", k, ix.Of(k))
+		}
+	}
+}
+
+func TestSlots(t *testing.T) {
+	var nilSet *Slots[int]
+	if _, ok := nilSet.Get(ProcKey(0)); ok || nilSet.Len() != 0 {
+		t.Fatalf("a nil set must read as empty")
+	}
+	nilSet.Each(func(Key, int) { t.Fatalf("a nil set has no keys") })
+
+	var s Slots[int]
+	s.Reset(Index{Procs: 70, Conds: 2})
+	s.Set(CondKey(1), 5)
+	s.Set(ProcKey(65), 3)
+	s.Set(ProcKey(2), 1)
+	s.Set(ProcKey(65), 4) // replace
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", s.Len())
+	}
+	if v, ok := s.Get(ProcKey(65)); !ok || v != 4 {
+		t.Fatalf("Get = %d,%v; want 4,true", v, ok)
+	}
+	if _, ok := s.Get(ProcKey(3)); ok {
+		t.Fatalf("absent key found")
+	}
+	var keys []Key
+	s.Each(func(k Key, _ int) { keys = append(keys, k) })
+	if len(keys) != 3 || keys[0] != ProcKey(2) || keys[1] != ProcKey(65) || keys[2] != CondKey(1) {
+		t.Fatalf("Each order = %v, want slot order", keys)
+	}
+	s.Reset(Index{Procs: 4})
+	if s.Len() != 0 {
+		t.Fatalf("Reset must empty the set")
+	}
+	if _, ok := s.Get(ProcKey(2)); ok {
+		t.Fatalf("Reset must clear presence")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Set outside the index must panic")
+		}
+	}()
+	s.Set(CondKey(0), 1)
+}
+
+func TestEntriesStableAcrossLaterSet(t *testing.T) {
+	ps := NewPathSchedule(cond.True(), Index{Procs: 3})
+	ps.Set(Entry{Key: ProcKey(0), Start: 4, End: 5})
+	ps.Set(Entry{Key: ProcKey(1), Start: 0, End: 2})
+	before := ps.Entries()
+	ps.Set(Entry{Key: ProcKey(2), Start: 1, End: 3})
+	ps.Set(Entry{Key: ProcKey(1), Start: 6, End: 8})
+	if len(before) != 2 || before[0].Key != ProcKey(1) || before[0].Start != 0 || before[1].Key != ProcKey(0) {
+		t.Fatalf("a slice returned by Entries changed under a later Set: %v", before)
+	}
+	after := ps.Entries()
+	if len(after) != 3 || after[0].Key != ProcKey(2) || after[1].Key != ProcKey(0) || after[2].Key != ProcKey(1) {
+		t.Fatalf("Entries after replacing = %v, want P2, P0, P1 by start", after)
+	}
+	if e, ok := ps.Entry(ProcKey(0)); !ok || e.Start != 4 {
+		t.Fatalf("Entry(P0) = %v,%v after moves", e, ok)
+	}
+}
+
+// TestEntriesMatchSortedReference records random entries (with
+// replacements) and checks Entries against a map of the latest entry per key
+// sorted by (Start, Key.Less), and Entry against the map.
+func TestEntriesMatchSortedReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	ix := Index{Procs: 40, Conds: 5}
+	for round := 0; round < 200; round++ {
+		ps := NewPathSchedule(cond.True(), ix)
+		ref := map[Key]Entry{}
+		for n := r.Intn(60); n > 0; n-- {
+			k := ix.Key(r.Intn(ix.Len()))
+			start := int64(r.Intn(20))
+			e := Entry{Key: k, Start: start, End: start + 1}
+			ps.Set(e)
+			ref[k] = e
+		}
+		want := make([]Entry, 0, len(ref))
+		for _, e := range ref {
+			want = append(want, e)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Start != want[j].Start {
+				return want[i].Start < want[j].Start
+			}
+			return want[i].Key.Less(want[j].Key)
+		})
+		got := ps.Entries()
+		if len(got) != len(want) || ps.Len() != len(want) {
+			t.Fatalf("round %d: %d entries, want %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: entry %d = %v, want %v", round, i, got[i], want[i])
+			}
+			if e, ok := ps.Entry(want[i].Key); !ok || e != want[i] {
+				t.Fatalf("round %d: Entry(%v) = %v,%v", round, want[i].Key, e, ok)
+			}
+		}
 	}
 }

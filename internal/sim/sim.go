@@ -22,10 +22,11 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cond"
@@ -49,17 +50,37 @@ func (v Violation) String() string {
 // Trace is the re-enactment of one alternative path.
 type Trace struct {
 	Label cond.Cube
-	// Start and End of every activated activity.
-	Start map[sched.Key]int64
-	End   map[sched.Key]int64
 	// Delay is the completion time of the path (activation time of the
 	// sink, i.e. the time the last active process terminates).
 	Delay      int64
 	Violations []Violation
+
+	acts sched.Slots[span] // activated activities
 }
+
+// span is the activation interval of one activity.
+type span struct{ start, end int64 }
 
 // OK reports whether the trace is free of violations.
 func (t *Trace) OK() bool { return len(t.Violations) == 0 }
+
+// StartOf returns the activation time of k and whether k was activated.
+func (t *Trace) StartOf(k sched.Key) (int64, bool) {
+	s, ok := t.acts.Get(k)
+	return s.start, ok
+}
+
+// EndOf returns the termination time of k and whether k was activated.
+func (t *Trace) EndOf(k sched.Key) (int64, bool) {
+	s, ok := t.acts.Get(k)
+	return s.end, ok
+}
+
+// Each calls fn for every activated activity in index order (processes by
+// identifier, then condition broadcasts).
+func (t *Trace) Each(fn func(k sched.Key, start, end int64)) {
+	t.acts.Each(func(k sched.Key, s span) { fn(k, s.start, s.end) })
+}
 
 // Run re-enacts the execution selected by the given path.
 func Run(g *cpg.Graph, a *arch.Architecture, tbl *table.Table, path *cpg.Path) (*Trace, error) {
@@ -80,11 +101,8 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 	g := sub.G
 	label := sub.Label
 	active := sub.ActiveProcs()
-	tr := &Trace{
-		Label: label,
-		Start: make(map[sched.Key]int64, len(active)),
-		End:   make(map[sched.Key]int64, len(active)),
-	}
+	tr := &Trace{Label: label}
+	tr.acts.Reset(sched.IndexOf(g))
 
 	addViolation := func(k sched.Key, format string, args ...interface{}) {
 		tr.Violations = append(tr.Violations, Violation{Path: label, Key: k, Reason: fmt.Sprintf(format, args...)})
@@ -128,31 +146,29 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		if !ok {
 			continue
 		}
-		tr.Start[k] = start
-		tr.End[k] = start + a.EffectiveExec(proc.Exec, proc.PE)
+		tr.acts.Set(k, span{start, start + a.EffectiveExec(proc.Exec, proc.PE)})
 		_ = expr
 	}
-	// Activate condition broadcasts (when present in the table).
-	broadcastEnd := map[cond.Cond]int64{}
-	deciderEnd := map[cond.Cond]int64{}
+	// Activate condition broadcasts (when present in the table). The ends of
+	// the deciders and broadcasts are kept by condition identifier (0 when
+	// missing); without a broadcast a value is known everywhere at the end
+	// of its decider.
+	var deciderEnd, broadcastEnd [cond.MaxConds]int64
 	for _, c := range sub.DecidedConds() {
 		def := g.Condition(c)
-		if e, ok := tr.End[sched.ProcKey(def.Decider)]; ok {
-			deciderEnd[c] = e
-		}
+		deciderEnd[c], _ = tr.EndOf(sched.ProcKey(def.Decider))
+		broadcastEnd[c] = deciderEnd[c]
 		k := sched.CondKey(c)
 		if len(tbl.RowView(k)) == 0 {
 			// Single-processor systems do not broadcast.
-			broadcastEnd[c] = deciderEnd[c]
 			continue
 		}
 		start, _, ok := resolve(k)
 		if !ok {
 			continue
 		}
-		tr.Start[k] = start
-		tr.End[k] = start + a.CondTime
-		broadcastEnd[c] = tr.End[k]
+		tr.acts.Set(k, span{start, start + a.CondTime})
+		broadcastEnd[c] = start + a.CondTime
 		if start < deciderEnd[c] {
 			addViolation(k, "broadcast starts at %d before the disjunction process terminates at %d", start, deciderEnd[c])
 		}
@@ -164,10 +180,7 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		if def != nil && pe != arch.NoPE && g.Process(def.Decider).PE == pe {
 			return deciderEnd[c]
 		}
-		if end, ok := broadcastEnd[c]; ok {
-			return end
-		}
-		return deciderEnd[c]
+		return broadcastEnd[c]
 	}
 
 	// Dependency and requirement-4 checks.
@@ -177,7 +190,7 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 			continue
 		}
 		k := sched.ProcKey(p)
-		start, ok := tr.Start[k]
+		start, ok := tr.StartOf(k)
 		if !ok {
 			continue
 		}
@@ -185,7 +198,7 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 			if g.Process(q).IsDummy() {
 				continue
 			}
-			qEnd, ok := tr.End[sched.ProcKey(q)]
+			qEnd, ok := tr.EndOf(sched.ProcKey(q))
 			if !ok {
 				continue
 			}
@@ -213,22 +226,24 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		}
 	}
 
-	// Resource exclusivity on sequential processing elements.
+	// Resource exclusivity on sequential processing elements, checked in
+	// PEID order so the violations come out in a fixed order.
 	type slot struct {
 		key        sched.Key
+		pe         arch.PEID
 		start, end int64
 	}
-	byPE := map[arch.PEID][]slot{}
+	decided := sub.DecidedConds()
+	slots := make([]slot, 0, len(active)+len(decided))
 	addSlot := func(k sched.Key, pe arch.PEID) {
 		if pe == arch.NoPE || !a.IsSequential(pe) {
 			return
 		}
-		s, okS := tr.Start[k]
-		e, okE := tr.End[k]
-		if !okS || !okE || s == e {
+		s, ok := tr.acts.Get(k)
+		if !ok || s.start == s.end {
 			return
 		}
-		byPE[pe] = append(byPE[pe], slot{key: k, start: s, end: e})
+		slots = append(slots, slot{key: k, pe: pe, start: s.start, end: s.end})
 	}
 	for _, p := range active {
 		if g.Process(p).IsDummy() {
@@ -236,25 +251,30 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		}
 		addSlot(sched.ProcKey(p), g.Process(p).PE)
 	}
-	for _, c := range sub.DecidedConds() {
-		k := sched.CondKey(c)
-		if _, ok := tr.Start[k]; !ok {
-			continue
-		}
-		// The bus carrying the broadcast is recorded in the path schedule,
-		// not in the table; for the simulation we only check that the
-		// broadcasts on the (single) broadcast bus set do not overlap when
-		// exactly one all-connecting bus exists.
-		buses := a.BroadcastBuses()
-		if len(buses) == 1 {
-			addSlot(k, buses[0])
+	// The bus carrying the broadcast is recorded in the path schedule, not
+	// in the table; for the simulation we only check that the broadcasts on
+	// the (single) broadcast bus set do not overlap when exactly one
+	// all-connecting bus exists.
+	if buses := a.BroadcastBuses(); len(buses) == 1 {
+		for _, c := range decided {
+			addSlot(sched.CondKey(c), buses[0])
 		}
 	}
-	for pe, slots := range byPE {
-		sort.Slice(slots, func(i, j int) bool { return slots[i].start < slots[j].start })
-		for i := 1; i < len(slots); i++ {
-			if slots[i-1].end > slots[i].start {
-				addViolation(slots[i].key, "overlaps %s on sequential element %s", slots[i-1].key, peName(a, pe))
+	onPE := make([]slot, 0, len(slots))
+	for pe := arch.PEID(0); int(pe) < a.NumPEs(); pe++ {
+		onPE = onPE[:0]
+		for _, s := range slots {
+			if s.pe == pe {
+				onPE = append(onPE, s)
+			}
+		}
+		if len(onPE) < 2 {
+			continue
+		}
+		slices.SortFunc(onPE, func(x, y slot) int { return cmp.Compare(x.start, y.start) })
+		for i := 1; i < len(onPE); i++ {
+			if onPE[i-1].end > onPE[i].start {
+				addViolation(onPE[i].key, "overlaps %s on sequential element %s", onPE[i-1].key, peName(a, pe))
 			}
 		}
 	}
@@ -264,7 +284,7 @@ func RunSubgraph(sub *cpg.Subgraph, a *arch.Architecture, tbl *table.Table) (*Tr
 		if g.Process(p).IsDummy() {
 			continue
 		}
-		if e, ok := tr.End[sched.ProcKey(p)]; ok && e > tr.Delay {
+		if e, ok := tr.EndOf(sched.ProcKey(p)); ok && e > tr.Delay {
 			tr.Delay = e
 		}
 	}

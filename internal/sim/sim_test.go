@@ -75,8 +75,8 @@ func fixture(t *testing.T) (*cpg.Graph, *arch.Architecture, map[string]cpg.ProcI
 //	T: 6 under C ; F: 3 under !C
 //	comm T->J: 10 under C
 //	J: 12 under C, 5 under !C
-func goodTable(ids map[string]cpg.ProcID, c cond.Cond) *table.Table {
-	tbl := table.New()
+func goodTable(g *cpg.Graph, ids map[string]cpg.ProcID, c cond.Cond) *table.Table {
+	tbl := table.New(sched.IndexOf(g))
 	cT := cond.MustCube(cond.Lit{Cond: c, Val: true})
 	cF := cond.MustCube(cond.Lit{Cond: c, Val: false})
 	_ = tbl.Place(sched.ProcKey(ids["D"]), cond.True(), 0)
@@ -103,7 +103,7 @@ func pathWith(t *testing.T, paths []*cpg.Path, c cond.Cond, val bool) *cpg.Path 
 
 func TestRunCleanExecution(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
+	tbl := goodTable(g, ids, c)
 
 	trTrue, err := Run(g, a, tbl, pathWith(t, paths, c, true))
 	if err != nil {
@@ -115,8 +115,10 @@ func TestRunCleanExecution(t *testing.T) {
 	if trTrue.Delay != 13 {
 		t.Fatalf("delay on path C = %d, want 13", trTrue.Delay)
 	}
-	if trTrue.Start[sched.ProcKey(ids["T"])] != 6 || trTrue.End[sched.ProcKey(ids["T"])] != 10 {
-		t.Fatalf("T timing wrong: %d..%d", trTrue.Start[sched.ProcKey(ids["T"])], trTrue.End[sched.ProcKey(ids["T"])])
+	tStart, _ := trTrue.StartOf(sched.ProcKey(ids["T"]))
+	tEnd, _ := trTrue.EndOf(sched.ProcKey(ids["T"]))
+	if tStart != 6 || tEnd != 10 {
+		t.Fatalf("T timing wrong: %d..%d", tStart, tEnd)
 	}
 
 	trFalse, err := Run(g, a, tbl, pathWith(t, paths, c, false))
@@ -130,14 +132,14 @@ func TestRunCleanExecution(t *testing.T) {
 		t.Fatalf("delay on path !C = %d, want 6", trFalse.Delay)
 	}
 	// F and the comm processes for the true branch must not be activated.
-	if _, ok := trFalse.Start[sched.ProcKey(ids["T"])]; ok {
+	if _, ok := trFalse.StartOf(sched.ProcKey(ids["T"])); ok {
 		t.Fatalf("inactive process T must not be activated on path !C")
 	}
 }
 
 func TestWorstCase(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
+	tbl := goodTable(g, ids, c)
 	res, err := WorstCase(g, a, tbl, paths)
 	if err != nil {
 		t.Fatalf("WorstCase: %v", err)
@@ -155,9 +157,9 @@ func TestWorstCase(t *testing.T) {
 
 func TestMissingCoverageDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
+	tbl := goodTable(g, ids, c)
 	// Build a table without an entry for F: path !C has no applicable time.
-	bad := table.New()
+	bad := table.New(sched.IndexOf(g))
 	for _, k := range tbl.Keys() {
 		if k == sched.ProcKey(ids["F"]) {
 			continue
@@ -186,8 +188,8 @@ func TestMissingCoverageDetected(t *testing.T) {
 
 func TestDependencyViolationDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
-	bad := table.New()
+	tbl := goodTable(g, ids, c)
+	bad := table.New(sched.IndexOf(g))
 	for _, k := range tbl.Keys() {
 		for _, e := range tbl.Row(k) {
 			start := e.Start
@@ -216,8 +218,8 @@ func TestDependencyViolationDetected(t *testing.T) {
 
 func TestRequirement4ViolationDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
-	bad := table.New()
+	tbl := goodTable(g, ids, c)
+	bad := table.New(sched.IndexOf(g))
 	for _, k := range tbl.Keys() {
 		for _, e := range tbl.Row(k) {
 			start := e.Start
@@ -246,8 +248,8 @@ func TestRequirement4ViolationDetected(t *testing.T) {
 
 func TestResourceOverlapDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
-	bad := table.New()
+	tbl := goodTable(g, ids, c)
+	bad := table.New(sched.IndexOf(g))
 	for _, k := range tbl.Keys() {
 		for _, e := range tbl.Row(k) {
 			start := e.Start
@@ -275,7 +277,7 @@ func TestResourceOverlapDetected(t *testing.T) {
 
 func TestAmbiguousActivationDetected(t *testing.T) {
 	g, a, ids, c, paths := fixture(t)
-	tbl := goodTable(ids, c)
+	tbl := goodTable(g, ids, c)
 	// Add a second, different activation time for D that also applies.
 	_ = tbl.Place(sched.ProcKey(ids["D"]), cond.MustCube(cond.Lit{Cond: c, Val: true}), 2)
 	tr, err := Run(g, a, tbl, pathWith(t, paths, c, true))
@@ -296,5 +298,46 @@ func TestAmbiguousActivationDetected(t *testing.T) {
 func TestRunNilArguments(t *testing.T) {
 	if _, err := Run(nil, nil, nil, nil); err == nil {
 		t.Fatalf("nil arguments must be rejected")
+	}
+}
+
+// TestOverlapViolationsInPEOrder re-enacts a hand-built table whose single
+// path overlaps on two sequential processors. The processes of the higher
+// processor come first in the graph, yet the overlap violations must come
+// out in processor order, identically on every run.
+func TestOverlapViolationsInPEOrder(t *testing.T) {
+	a := arch.New()
+	pe1 := a.AddProcessor("pe1", 1)
+	pe2 := a.AddProcessor("pe2", 1)
+	g := cpg.New("two-overlaps")
+	c := g.AddProcess("C", 2, pe2)
+	d := g.AddProcess("D", 2, pe2)
+	x := g.AddProcess("X", 2, pe1)
+	y := g.AddProcess("Y", 2, pe1)
+	if err := g.Finalize(a); err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	paths, err := g.AlternativePaths(0)
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("AlternativePaths = %d paths, %v; want 1", len(paths), err)
+	}
+	tbl := table.New(sched.IndexOf(g))
+	for _, p := range []struct {
+		id    cpg.ProcID
+		start int64
+	}{{c, 0}, {d, 1}, {x, 0}, {y, 1}} {
+		if err := tbl.Place(sched.ProcKey(p.id), cond.True(), p.start); err != nil {
+			t.Fatalf("Place: %v", err)
+		}
+	}
+	sub := g.Subgraph(paths[0])
+	for run := 0; run < 50; run++ {
+		tr, err := RunSubgraph(sub, a, tbl)
+		if err != nil {
+			t.Fatalf("RunSubgraph: %v", err)
+		}
+		if len(tr.Violations) != 2 || tr.Violations[0].Key != sched.ProcKey(y) || tr.Violations[1].Key != sched.ProcKey(d) {
+			t.Fatalf("run %d: violations %v, want Y's overlap on pe1 then D's on pe2", run, tr.Violations)
+		}
 	}
 }

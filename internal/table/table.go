@@ -10,15 +10,16 @@
 // per-path part optionally fanned over a worker pool) and a text rendering in
 // the style of Table 1.
 //
-// Rows keep their entries sorted by (activation time, expression) and carry a
-// per-row index keyed by the expression cube itself (cond.Cube is a
-// comparable 16-byte bitset), so the merging algorithm's inner loop
-// (deriveLocks, covered, Conflicts, Place) reads rows without copying and
-// looks expressions up in constant time with no key encoding at all.
+// Rows are addressed by the dense activity index of the graph (see
+// sched.Index) and keep their entries sorted by (activation time,
+// expression), so the merging algorithm's inner loop (deriveLocks, covered,
+// Conflicts, Place) reads rows without copying or hashing. Rows hold few
+// entries, so expressions are found by a scan.
 package table
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,23 +36,25 @@ type Entry struct {
 	Start int64
 }
 
-// row stores the entries of one table row sorted by (Start, Expr) plus an
-// index from expression cube to entry.
-type row struct {
-	entries []Entry
-	byExpr  map[cond.Cube]Entry
-}
-
 // Table is a schedule table under construction or completed. Mutating methods
 // are not safe for concurrent use (the read-only validation fan-out is).
 type Table struct {
-	rows map[sched.Key]*row
-	keys []sched.Key // insertion order of rows
+	rows sched.Slots[[]Entry] // entries sorted by (Start, Expr), by activity
+	keys []sched.Key          // insertion order of rows
+	// cells is carved into the first rowCells cells of every new row, so
+	// most rows never allocate on their own.
+	cells []Entry
 }
 
-// New returns an empty schedule table.
-func New() *Table {
-	return &Table{rows: map[sched.Key]*row{}}
+// rowCells is the capacity a new row takes from Table.cells; most rows hold
+// one or two entries.
+const rowCells = 2
+
+// New returns an empty schedule table for the activities of index ix.
+func New(ix sched.Index) *Table {
+	t := &Table{cells: make([]Entry, rowCells*ix.Len())}
+	t.rows.Reset(ix)
+	return t
 }
 
 // Keys returns a copy of the row keys in insertion order.
@@ -68,11 +71,8 @@ func (t *Table) Row(k sched.Key) []Entry { return append([]Entry(nil), t.RowView
 // copying. The returned slice is shared with the table and must not be
 // modified; it is invalidated by the next Place on the same row.
 func (t *Table) RowView(k sched.Key) []Entry {
-	r := t.rows[k]
-	if r == nil {
-		return nil
-	}
-	return r.entries
+	r, _ := t.rows.Get(k)
+	return r
 }
 
 // NumRows returns the number of rows.
@@ -81,8 +81,8 @@ func (t *Table) NumRows() int { return len(t.keys) }
 // NumEntries returns the total number of cells.
 func (t *Table) NumEntries() int {
 	n := 0
-	for _, r := range t.rows {
-		n += len(r.entries)
+	for _, k := range t.keys {
+		n += len(t.RowView(k))
 	}
 	return n
 }
@@ -92,8 +92,8 @@ func (t *Table) NumEntries() int {
 func (t *Table) Columns() []cond.Cube {
 	seen := map[cond.Cube]struct{}{}
 	var out []cond.Cube
-	for _, r := range t.rows {
-		for _, e := range r.entries {
+	for _, k := range t.keys {
+		for _, e := range t.RowView(k) {
 			if _, ok := seen[e.Expr]; !ok {
 				seen[e.Expr] = struct{}{}
 				out = append(out, e.Expr)
@@ -125,12 +125,12 @@ func (c Conflict) Error() string {
 
 // Lookup returns the entry of row k with exactly the given expression.
 func (t *Table) Lookup(k sched.Key, expr cond.Cube) (Entry, bool) {
-	r := t.rows[k]
-	if r == nil {
-		return Entry{}, false
+	for _, e := range t.RowView(k) {
+		if e.Expr == expr {
+			return e, true
+		}
 	}
-	e, ok := r.byExpr[expr]
-	return e, ok
+	return Entry{}, false
 }
 
 // Applicable returns the entries of row k whose expression is implied by the
@@ -143,11 +143,7 @@ func (t *Table) Applicable(k sched.Key, label cond.Cube) []Entry {
 // AppendApplicable appends the applicable entries of row k to dst and returns
 // it, letting callers that resolve many keys reuse one buffer.
 func (t *Table) AppendApplicable(dst []Entry, k sched.Key, label cond.Cube) []Entry {
-	r := t.rows[k]
-	if r == nil {
-		return dst
-	}
-	for _, e := range r.entries {
+	for _, e := range t.RowView(k) {
 		if label.Implies(e.Expr) {
 			dst = append(dst, e)
 		}
@@ -159,12 +155,8 @@ func (t *Table) AppendApplicable(dst []Entry, k sched.Key, label cond.Cube) []En
 // an activation time start under expression expr: entries with a compatible
 // expression but a different activation time (requirement 2).
 func (t *Table) Conflicts(k sched.Key, expr cond.Cube, start int64) []Entry {
-	r := t.rows[k]
-	if r == nil {
-		return nil
-	}
 	var out []Entry
-	for _, e := range r.entries {
+	for _, e := range t.RowView(k) {
 		if e.Start != start && e.Expr.Compatible(expr) {
 			out = append(out, e)
 		}
@@ -176,40 +168,38 @@ func (t *Table) Conflicts(k sched.Key, expr cond.Cube, start int64) []Entry {
 // resolve conflicts first, see the merging algorithm). Placing an entry that
 // already exists with the same expression and time is a no-op; placing a
 // different time under an identical expression replaces nothing and returns a
-// Conflict error.
+// Conflict error. A key outside the table's activity index is an error.
 func (t *Table) Place(k sched.Key, expr cond.Cube, start int64) error {
-	r := t.rows[k]
-	if r == nil {
-		r = &row{byExpr: map[cond.Cube]Entry{}}
-		t.rows[k] = r
-		t.keys = append(t.keys, k)
+	if t.rows.Index().Of(k) < 0 {
+		return fmt.Errorf("table: %s outside the activity index", k)
 	}
-	if existing, ok := r.byExpr[expr]; ok {
+	if existing, ok := t.Lookup(k, expr); ok {
 		if existing.Start == start {
 			return nil
 		}
 		return Conflict{Key: k, New: Entry{Expr: expr, Start: start}, Existing: existing}
 	}
-	e := Entry{Expr: expr, Start: start}
+	t.EnsureRow(k)
+	r := t.RowView(k)
 	// Insert keeping the row sorted by (Start, Expr).
-	idx := sort.Search(len(r.entries), func(i int) bool {
-		if r.entries[i].Start != start {
-			return r.entries[i].Start > start
+	idx := sort.Search(len(r), func(i int) bool {
+		if r[i].Start != start {
+			return r[i].Start > start
 		}
-		return r.entries[i].Expr.Compare(expr) >= 0
+		return r[i].Expr.Compare(expr) >= 0
 	})
-	r.entries = append(r.entries, Entry{})
-	copy(r.entries[idx+1:], r.entries[idx:])
-	r.entries[idx] = e
-	r.byExpr[expr] = e
+	r = slices.Insert(r, idx, Entry{Expr: expr, Start: start})
+	t.rows.Set(k, r)
 	return nil
 }
 
 // EnsureRow creates an empty row for the key if it does not exist yet, so
 // that rendering lists every process even when (unusually) it has no entry.
+// It panics when the key lies outside the table's activity index.
 func (t *Table) EnsureRow(k sched.Key) {
-	if _, ok := t.rows[k]; !ok {
-		t.rows[k] = &row{byExpr: map[cond.Cube]Entry{}}
+	if _, ok := t.rows.Get(k); !ok {
+		t.rows.Set(k, t.cells[:0:rowCells])
+		t.cells = t.cells[rowCells:]
 		t.keys = append(t.keys, k)
 	}
 }
@@ -254,7 +244,7 @@ func (t *Table) ValidateParallel(g *cpg.Graph, paths []*cpg.Path, workers int) [
 			continue
 		}
 		guard := g.Guard(k.Proc)
-		for _, e := range t.rows[k].entries {
+		for _, e := range t.RowView(k) {
 			if !guard.ImpliedByCube(e.Expr) {
 				out = append(out, Violation{
 					Requirement: 1,
@@ -266,7 +256,7 @@ func (t *Table) ValidateParallel(g *cpg.Graph, paths []*cpg.Path, workers int) [
 	}
 	// Requirement 2.
 	for _, k := range t.keys {
-		row := t.rows[k].entries
+		row := t.RowView(k)
 		for i := 0; i < len(row); i++ {
 			for j := i + 1; j < len(row); j++ {
 				if row[i].Start != row[j].Start && row[i].Expr.Compatible(row[j].Expr) {
@@ -356,7 +346,7 @@ func (t *Table) Render(opt RenderOptions) string {
 	}
 	rows := [][]string{header}
 	for _, k := range t.keys {
-		entries := t.rows[k].entries
+		entries := t.RowView(k)
 		if opt.SkipEmptyRows && len(entries) == 0 {
 			continue
 		}

@@ -33,7 +33,7 @@ go"$want_go" | go"$want_go".*) ;;
   ;;
 esac
 
-BENCH="${BENCH:-BenchmarkTable1Figure1|BenchmarkScheduleRunParallel|BenchmarkScheduleParallelPaths|BenchmarkListSchedule120|BenchmarkListschedInner|BenchmarkValidateParallel|BenchmarkFig5Sweep|BenchmarkStrategies|BenchmarkTabuInner|BenchmarkScheduleUninstrumented|BenchmarkScheduleInstrumented|BenchmarkMiddlewareOnly|BenchmarkMetricsScrape|BenchmarkCubeOps|BenchmarkWarmReschedule}"
+BENCH="${BENCH:-BenchmarkTable1Figure1|BenchmarkScheduleRunParallel|BenchmarkScheduleParallelPaths|BenchmarkListSchedule120|BenchmarkListschedInner|BenchmarkValidateParallel|BenchmarkFig5Sweep|BenchmarkStrategies|BenchmarkTabuInner|BenchmarkScheduleUninstrumented|BenchmarkScheduleInstrumented|BenchmarkMiddlewareOnly|BenchmarkMetricsScrape|BenchmarkCubeOps|BenchmarkWarmReschedule|BenchmarkMerge}"
 BENCHTIME="${BENCHTIME:-1s}"
 NOTE="${NOTE:-}"
 
@@ -45,7 +45,7 @@ fi
 tmp=$(mktemp BENCH_results.json.XXXXXX)
 trap 'rm -f "$tmp"' EXIT
 
-go test -run=NONE -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" . ./internal/httpserver \
+go test -run=NONE -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" . ./internal/core ./internal/httpserver \
   | tee /dev/stderr \
   | go run ./cmd/benchjson -note "$NOTE" ${prev_args[@]+"${prev_args[@]}"} >"$tmp"
 
